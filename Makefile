@@ -60,10 +60,12 @@ bench-overhead:
 
 # Hot-path micro-benchmarks: the allocation-free wire/crypto fast path
 # (Channel round trip, marshal, frame read, mle seal/open), the
-# log engine's memtable-hit read, and the FastCDC chunker scan.
+# log engine's memtable-hit read, the FastCDC chunker scan, and the
+# store's request dispatch (GET and the three batch requests, with an
+# ecalls/op metric).
 # -count 6 gives the regression gate a run-to-run spread for its
 # significance test.
-BENCH_HOT_PKGS := ./internal/wire ./internal/mle ./internal/store/logengine ./internal/chunk
+BENCH_HOT_PKGS := ./internal/wire ./internal/mle ./internal/store/logengine ./internal/chunk ./internal/store
 BENCH_HOT_PATTERN := 'BenchmarkHot|BenchmarkChannelRoundTrip'
 BENCH_HOT_COUNT ?= 6
 

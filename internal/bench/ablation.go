@@ -3,6 +3,7 @@ package bench
 import (
 	"crypto/sha256"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"speed/internal/dedup"
@@ -98,10 +99,20 @@ func RenderAblationScheme(rows []SchemeRow) string {
 
 // AsyncPutRow compares initial-computation latency with the PUT
 // pipeline on the caller path vs in the background worker (the
-// Section V-B optimization).
+// Section V-B optimization). The timings are noisy; SyncPath and
+// AsyncPath are the deterministic counts behind them.
 type AsyncPutRow struct {
-	SizeBytes       int
-	SyncMS, AsyncMS float64
+	SizeBytes           int
+	SyncMS, AsyncMS     float64
+	SyncPath, AsyncPath CallerPath
+}
+
+// CallerPath counts the work one initial computation does on its
+// caller's path, between the Execute call and its return: OCALLs out
+// of the app enclave (the store GET, and the PUT when it is
+// synchronous) and result encryptions.
+type CallerPath struct {
+	OCalls, Encrypts int64
 }
 
 // AblationAsyncPut measures the caller-visible initial-computation
@@ -168,17 +179,120 @@ func AblationAsyncPut(sizes []int, trials int) ([]AsyncPutRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, AsyncPutRow{SizeBytes: size, SyncMS: syncMS, AsyncMS: asyncMS})
+		row := AsyncPutRow{SizeBytes: size, SyncMS: syncMS, AsyncMS: asyncMS}
+		if row.SyncPath, err = asyncPutCallerPath(false, size); err != nil {
+			return nil, err
+		}
+		if row.AsyncPath, err = asyncPutCallerPath(true, size); err != nil {
+			return nil, err
+		}
+		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// asyncPutCallerPath counts one initial computation's caller-path work
+// (see CallerPath) with simulated costs off. With AsyncPut the PUT
+// worker is first parked inside an earlier upload, whose store PUT
+// blocks until the count is taken, so only the caller's own work can
+// land in the window and the count is exact.
+func asyncPutCallerPath(async bool, size int) (CallerPath, error) {
+	platform := enclave.NewPlatform(enclave.Config{})
+	appEnc, err := platform.Create("app", []byte("app"))
+	if err != nil {
+		return CallerPath{}, err
+	}
+	storeEnc, err := platform.Create("store", []byte("store"))
+	if err != nil {
+		return CallerPath{}, err
+	}
+	st, err := store.New(store.Config{Enclave: storeEnc})
+	if err != nil {
+		return CallerPath{}, err
+	}
+	defer st.Close()
+	var client dedup.StoreClient = dedup.NewLocalClient(st, appEnc.Measurement())
+	var parking *parkingClient
+	if async {
+		parking = &parkingClient{
+			StoreClient: client,
+			parked:      make(chan struct{}, 1),
+			release:     make(chan struct{}),
+		}
+		client = parking
+	}
+	scheme := &countingScheme{Scheme: &mle.RCE{}}
+	rt, err := dedup.NewRuntime(dedup.Config{
+		Enclave:  appEnc,
+		Client:   client,
+		Scheme:   scheme,
+		AsyncPut: async,
+		Logf:     func(string, ...any) {},
+	})
+	if err != nil {
+		return CallerPath{}, err
+	}
+	defer rt.Close()
+
+	result := randBytes(size)
+	compute := func([]byte) ([]byte, error) { return result, nil }
+	id := mle.FuncID(sha256.Sum256([]byte("caller path")))
+	if async {
+		// Deferred after rt.Close, so it runs first and the worker can
+		// drain.
+		defer close(parking.release)
+		if _, _, err := rt.Execute(id, []byte("park the put worker"), compute); err != nil {
+			return CallerPath{}, err
+		}
+		<-parking.parked
+	}
+	ocalls, encrypts := appEnc.Metrics().OCalls, scheme.encrypts.Load()
+	if _, _, err := rt.Execute(id, []byte("measured call"), compute); err != nil {
+		return CallerPath{}, err
+	}
+	return CallerPath{
+		OCalls:   appEnc.Metrics().OCalls - ocalls,
+		Encrypts: scheme.encrypts.Load() - encrypts,
+	}, nil
+}
+
+// parkingClient is a store client whose PUTs wait for release,
+// signalling parked as each one starts waiting.
+type parkingClient struct {
+	dedup.StoreClient
+	parked  chan struct{}
+	release chan struct{}
+}
+
+func (c *parkingClient) Put(tag mle.Tag, sealed mle.Sealed, replace bool) error {
+	select {
+	case c.parked <- struct{}{}:
+	default:
+	}
+	<-c.release
+	return c.StoreClient.Put(tag, sealed, replace)
+}
+
+// countingScheme counts Encrypt calls.
+type countingScheme struct {
+	mle.Scheme
+	encrypts atomic.Int64
+}
+
+func (s *countingScheme) Encrypt(id mle.FuncID, input, result []byte) (mle.Sealed, error) {
+	s.encrypts.Add(1)
+	return s.Scheme.Encrypt(id, input, result)
 }
 
 // RenderAblationAsyncPut formats the async-PUT comparison.
 func RenderAblationAsyncPut(rows []AsyncPutRow) string {
 	s := "Ablation: initial computation latency, synchronous vs async PUT\n"
-	s += fmt.Sprintf("%-10s %14s %14s\n", "Size(KB)", "sync(ms)", "async(ms)")
+	s += "(caller path: OCALLs/encryptions before Execute returns)\n"
+	s += fmt.Sprintf("%-10s %14s %14s %12s %12s\n", "Size(KB)", "sync(ms)", "async(ms)", "sync path", "async path")
 	for _, r := range rows {
-		s += fmt.Sprintf("%-10d %14.3f %14.3f\n", r.SizeBytes/1024, r.SyncMS, r.AsyncMS)
+		s += fmt.Sprintf("%-10d %14.3f %14.3f %12s %12s\n", r.SizeBytes/1024, r.SyncMS, r.AsyncMS,
+			fmt.Sprintf("%d/%d", r.SyncPath.OCalls, r.SyncPath.Encrypts),
+			fmt.Sprintf("%d/%d", r.AsyncPath.OCalls, r.AsyncPath.Encrypts))
 	}
 	return s
 }

@@ -140,49 +140,21 @@ func (c *LocalClient) Put(tag mle.Tag, sealed mle.Sealed, replace bool) error {
 	return err
 }
 
-// GetBatch implements BatchClient. There is no wire to amortise
-// in-process, so it is a straight loop over the store.
+// GetBatch implements BatchClient through the store's batch path, so
+// the batch crosses into the store enclave as it would over the wire.
 func (c *LocalClient) GetBatch(tags []mle.Tag) ([]wire.GetResult, error) {
-	results := make([]wire.GetResult, len(tags))
-	for i, tag := range tags {
-		sealed, found, err := c.Get(tag)
-		if err != nil {
-			return nil, err
-		}
-		results[i] = wire.GetResult{Found: found, Sealed: sealed}
-	}
-	return results, nil
+	return c.store.GetBatchAs(c.owner, tags)
 }
 
 // PutBatch implements BatchClient.
 func (c *LocalClient) PutBatch(items []wire.PutItem) ([]wire.PutResult, error) {
-	results := make([]wire.PutResult, len(items))
-	for i, it := range items {
-		err := c.Put(it.Tag, it.Sealed, it.Replace)
-		switch {
-		case errors.Is(err, ErrPutRejected):
-			results[i] = wire.PutResult{OK: false, Err: err.Error()}
-		case err != nil:
-			return nil, err
-		default:
-			results[i] = wire.PutResult{OK: true}
-		}
-	}
-	return results, nil
+	return c.store.PutBatchAs(c.owner, items)
 }
 
 // HasBatch implements HasBatcher. The store maps authorization
 // denials to absent itself (deny without information).
 func (c *LocalClient) HasBatch(tags []mle.Tag) ([]bool, error) {
-	present := make([]bool, len(tags))
-	for i, tag := range tags {
-		p, err := c.store.HasAs(c.owner, tag)
-		if err != nil {
-			return nil, err
-		}
-		present[i] = p
-	}
-	return present, nil
+	return c.store.HasBatchAs(c.owner, tags)
 }
 
 // Ping implements StoreClient: the in-process store is "reachable"

@@ -132,19 +132,41 @@ type Engine interface {
 	// configured oblivious perform access-pattern-uniform lookups over
 	// their in-enclave structures and skip recency maintenance.
 	Get(tag mle.Tag) (Record, GetStatus, error)
-	// Contains reports whether a live record exists for the tag without
-	// returning it. Unlike Get it must not count a hit, refresh recency
-	// or touch LRU state — it answers existence probes (chunked dedup's
-	// missing-chunk transfer) that should leave popularity signals
-	// untouched. The answer is a hint: engines may report a TTL-stale
-	// record as present (the log engine's index ignores TTL) and callers
-	// must tolerate a later Get missing.
-	Contains(tag mle.Tag) (bool, error)
+	// GetBatch looks every tag up, answering positionally with the
+	// records and statuses Get would give for each tag in order. It is
+	// the GET_BATCH path: the in-enclave lookups of the whole batch
+	// share one ECALL, so the crossing count does not grow with the
+	// batch (the log engine adds at most one more ECALL to unseal the
+	// batch's segment hits). Expired and dangling records are reported,
+	// not removed, as by Get; a tag repeated in tags is looked up once
+	// per copy. Only activity counters (engine.Stats) may differ from n
+	// Get calls.
+	GetBatch(tags []mle.Tag) ([]Record, []GetStatus, error)
+	// ContainsBatch reports, positionally, whether a live record exists
+	// for each tag without returning it. Unlike Get it must not count a
+	// hit, refresh recency or touch LRU state — it answers existence
+	// probes (chunked dedup's missing-chunk transfer, HAS_BATCH) that
+	// should leave popularity signals untouched. The answer is a hint:
+	// engines may report a TTL-stale record as present (the log
+	// engine's index ignores TTL) and callers must tolerate a later Get
+	// missing. Like GetBatch, the whole batch costs a fixed number of
+	// crossings.
+	ContainsBatch(tags []mle.Tag) ([]bool, error)
 	// Insert stores rec under tag if no live record exists. It returns
 	// (false, nil) when the tag is already present (first version
 	// wins, Section IV-B Remark). The engine copies what it keeps; the
 	// caller's slices are not retained.
 	Insert(tag mle.Tag, rec Record) (installed bool, err error)
+	// InsertBatch stores recs[i] under tags[i] with the effect of Insert
+	// on each item in order, reporting installed positionally: a tag
+	// already present, or installed earlier in the same batch, is not
+	// installed again. It is the PUT_BATCH path: the memory engine
+	// spends one ECALL on the duplicate check and one on the insert
+	// however many items there are; the log engine appends the items to
+	// its WAL and applies them with one fsync (per policy) and one ECALL
+	// between memtable flushes, which fall where n Insert calls would
+	// flush. On error the batch may be partly applied.
+	InsertBatch(tags []mle.Tag, recs []Record) (installed []bool, err error)
 	// Remove deletes the tag's record, returning it (Blob may be nil;
 	// BlobSize and Owner are always set) so the caller can settle
 	// quota accounting.

@@ -443,44 +443,12 @@ func (e *Engine) Get(tag mle.Tag) (storeengine.Record, storeengine.GetStatus, er
 	}
 	var (
 		rec    storeengine.Record
-		status = storeengine.StatusMiss
+		status storeengine.GetStatus
 	)
 	// The in-enclave tiers are consulted inside one ECALL, mirroring
 	// the memory engine's dictionary access.
 	err := e.cfg.Enclave.ECall(func() error {
-		if mr, ok := e.lookupMem(tag); ok {
-			if mr.dead {
-				return nil // deleted: definitive miss, segments are stale
-			}
-			if e.expired(mr.rec.LastTouch) {
-				status = storeengine.StatusExpired
-				return nil
-			}
-			if !e.cfg.Oblivious {
-				mr.rec.Hits++
-				mr.rec.LastTouch = e.cfg.Now()
-			}
-			rec = copyRecord(mr.rec)
-			status = storeengine.StatusHit
-			e.st.CacheHits++
-			return nil
-		}
-		if cr, ok := e.lookupCache(tag); ok {
-			if e.expired(cr.rec.LastTouch) {
-				status = storeengine.StatusExpired
-				return nil
-			}
-			if !e.cfg.Oblivious {
-				cr.rec.Hits++
-				cr.rec.LastTouch = e.cfg.Now()
-				e.cacheLRU.MoveToFront(cr.elem)
-				e.noteTouch(tag, cr.rec.Hits, cr.rec.LastTouch)
-			}
-			rec = copyRecord(cr.rec)
-			status = storeengine.StatusHit
-			e.st.CacheHits++
-			return nil
-		}
+		rec, status = e.lookupEnclave(tag)
 		return nil
 	})
 	if err != nil {
@@ -489,49 +457,150 @@ func (e *Engine) Get(tag mle.Tag) (storeengine.Record, storeengine.GetStatus, er
 	if status != storeengine.StatusMiss || e.memHasTombstone(tag) {
 		return rec, status, nil
 	}
+	sealed, found, err := e.findSegments(tag)
+	if err != nil || !found {
+		return storeengine.Record{}, storeengine.StatusMiss, err
+	}
+	var srec storeengine.Record
+	uerr := e.cfg.Enclave.ECall(func() error {
+		r, err := unsealRecord(e.cfg.Enclave, sealed)
+		srec = r
+		return err
+	})
+	rec, status = e.segmentHit(tag, srec, uerr)
+	return rec, status, nil
+}
 
-	// Miss in the in-enclave tiers: consult the segments (untrusted
-	// disk), newest first. Unsealing happens back inside the enclave.
+// GetBatch implements engine.Engine: one ECALL consults the in-enclave
+// tiers for every tag, the segments are searched outside, and at most
+// one more ECALL unseals all of the batch's segment hits.
+func (e *Engine) GetBatch(tags []mle.Tag) ([]storeengine.Record, []storeengine.GetStatus, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.closed {
+		return nil, nil, storeengine.ErrClosed
+	}
+	recs := make([]storeengine.Record, len(tags))
+	statuses := make([]storeengine.GetStatus, len(tags))
+	err := e.cfg.Enclave.ECall(func() error {
+		for i, tag := range tags {
+			recs[i], statuses[i] = e.lookupEnclave(tag)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	var (
+		onDisk []int    // positions found live in a segment
+		sealed [][]byte // their sealed records
+	)
+	for i, tag := range tags {
+		if statuses[i] != storeengine.StatusMiss || e.memHasTombstone(tag) {
+			continue
+		}
+		b, found, err := e.findSegments(tag)
+		if err != nil {
+			return nil, nil, err
+		}
+		if found {
+			onDisk = append(onDisk, i)
+			sealed = append(sealed, b)
+		}
+	}
+	if len(onDisk) == 0 {
+		return recs, statuses, nil
+	}
+	srecs := make([]storeengine.Record, len(onDisk))
+	uerrs := make([]error, len(onDisk))
+	if err := e.cfg.Enclave.ECall(func() error {
+		for j, b := range sealed {
+			srecs[j], uerrs[j] = unsealRecord(e.cfg.Enclave, b)
+		}
+		return nil
+	}); err != nil {
+		for j := range uerrs {
+			uerrs[j] = err
+		}
+	}
+	for j, i := range onDisk {
+		recs[i], statuses[i] = e.segmentHit(tags[i], srecs[j], uerrs[j])
+	}
+	return recs, statuses, nil
+}
+
+// lookupEnclave is one tag's lookup in the in-enclave tiers (memtable,
+// then hot cache), counting, refreshing and copying out a hit.
+// StatusMiss means the segments must decide. Caller holds mu inside an
+// ECALL.
+func (e *Engine) lookupEnclave(tag mle.Tag) (storeengine.Record, storeengine.GetStatus) {
+	if mr, ok := e.lookupMem(tag); ok {
+		if mr.dead {
+			return storeengine.Record{}, storeengine.StatusMiss // deleted: definitive miss, segments are stale
+		}
+		if e.expired(mr.rec.LastTouch) {
+			return storeengine.Record{}, storeengine.StatusExpired
+		}
+		if !e.cfg.Oblivious {
+			mr.rec.Hits++
+			mr.rec.LastTouch = e.cfg.Now()
+		}
+		e.st.CacheHits++
+		return copyRecord(mr.rec), storeengine.StatusHit
+	}
+	if cr, ok := e.lookupCache(tag); ok {
+		if e.expired(cr.rec.LastTouch) {
+			return storeengine.Record{}, storeengine.StatusExpired
+		}
+		if !e.cfg.Oblivious {
+			cr.rec.Hits++
+			cr.rec.LastTouch = e.cfg.Now()
+			e.cacheLRU.MoveToFront(cr.elem)
+			e.noteTouch(tag, cr.rec.Hits, cr.rec.LastTouch)
+		}
+		e.st.CacheHits++
+		return copyRecord(cr.rec), storeengine.StatusHit
+	}
+	return storeengine.Record{}, storeengine.StatusMiss
+}
+
+// findSegments searches the segments (untrusted disk) newest first for
+// a tag the in-enclave tiers missed, counting the cache miss, and
+// returns its sealed record when the newest copy is live. Caller holds
+// mu.
+func (e *Engine) findSegments(tag mle.Tag) (sealed []byte, found bool, err error) {
 	e.st.CacheMisses++
 	for i := len(e.segments) - 1; i >= 0; i-- {
 		sealed, found, dead, err := e.segments[i].find(tag)
-		if err != nil {
-			return storeengine.Record{}, storeengine.StatusMiss, err
+		if err != nil || found {
+			return sealed, found && !dead, err
 		}
-		if !found {
-			continue
-		}
-		if dead {
-			return storeengine.Record{}, storeengine.StatusMiss, nil
-		}
-		var srec storeengine.Record
-		uerr := e.cfg.Enclave.ECall(func() error {
-			r, err := unsealRecord(e.cfg.Enclave, sealed)
-			if err != nil {
-				return err
-			}
-			srec = r
-			return nil
-		})
-		if uerr != nil {
-			// Authenticated storage failed us: surface as dangling so
-			// the policy layer drops the entry and recomputes.
-			e.cfg.Logf("logengine: record %x failed authentication: %v", tag[:8], uerr)
-			return storeengine.Record{}, storeengine.StatusDangling, nil
-		}
-		e.applyTouch(tag, &srec)
-		if e.expired(srec.LastTouch) {
-			return storeengine.Record{}, storeengine.StatusExpired, nil
-		}
-		if !e.cfg.Oblivious {
-			srec.Hits++
-			srec.LastTouch = e.cfg.Now()
-			e.noteTouch(tag, srec.Hits, srec.LastTouch)
-			e.cacheInsert(tag, srec)
-		}
-		return copyRecord(srec), storeengine.StatusHit, nil
 	}
-	return storeengine.Record{}, storeengine.StatusMiss, nil
+	return nil, false, nil
+}
+
+// segmentHit completes a segment lookup once the record was unsealed
+// back inside the enclave (uerr is the unseal failure): popularity
+// overlay, expiry, then — outside oblivious mode — hit counting and
+// promotion into the hot cache. Caller holds mu.
+func (e *Engine) segmentHit(tag mle.Tag, srec storeengine.Record, uerr error) (storeengine.Record, storeengine.GetStatus) {
+	if uerr != nil {
+		// Authenticated storage failed us: surface as dangling so the
+		// policy layer drops the entry and recomputes.
+		e.cfg.Logf("logengine: record %x failed authentication: %v", tag[:8], uerr)
+		return storeengine.Record{}, storeengine.StatusDangling
+	}
+	e.applyTouch(tag, &srec)
+	if e.expired(srec.LastTouch) {
+		return storeengine.Record{}, storeengine.StatusExpired
+	}
+	if !e.cfg.Oblivious {
+		srec.Hits++
+		srec.LastTouch = e.cfg.Now()
+		e.noteTouch(tag, srec.Hits, srec.LastTouch)
+		e.cacheInsert(tag, srec)
+	}
+	return copyRecord(srec), storeengine.StatusHit
 }
 
 // lookupMem finds a memtable entry; under Oblivious it scans every
@@ -704,68 +773,202 @@ func (e *Engine) Insert(tag mle.Tag, rec storeengine.Record) (bool, error) {
 		return false, storeengine.ErrClosed
 	}
 	exists, err := e.existsLocked(tag)
+	if err != nil || exists {
+		return false, err
+	}
+	mr, err := e.appendPut(tag, rec)
 	if err != nil {
 		return false, err
 	}
-	if exists {
-		return false, nil
-	}
-	stored := copyRecord(rec)
-	if err := e.wal.append(e.cfg.Enclave, walOpPut, tag, stored); err != nil {
+	if err := e.syncCommit(); err != nil {
 		return false, err
 	}
-	if e.cfg.Fsync == FsyncCommit {
-		if err := e.wal.sync(); err != nil {
-			return false, fmt.Errorf("logengine: wal fsync: %w", err)
-		}
-	}
-	e.st.WALRecords++
-	mr := &memRec{rec: stored}
 	aerr := e.cfg.Enclave.ECall(func() error {
-		if prev, had := e.memtable[tag]; had {
-			// Overwriting a tombstone left by an earlier Remove.
-			e.memBytes -= prev.bytes()
-			e.cfg.Enclave.Free(prev.bytes())
-		}
-		if err := e.cfg.Enclave.Alloc(mr.bytes()); err != nil {
-			return fmt.Errorf("metadata allocation: %w", err)
-		}
-		e.memtable[tag] = mr
-		e.memBytes += mr.bytes()
-		return nil
+		return e.applyPut(tag, mr)
 	})
 	if aerr != nil {
-		// The WAL already carries the record; a replay would resurrect
-		// it. Append a compensating delete so the log and the memory
-		// state agree.
-		if derr := e.wal.append(e.cfg.Enclave, walOpDelete, tag, storeengine.Record{}); derr == nil && e.cfg.Fsync == FsyncCommit {
-			_ = e.wal.sync()
-		}
+		e.unlogPut(tag)
 		return false, aerr
 	}
-	e.entries++
-	e.valueBytes += stored.BlobSize
-	e.dropTouch(tag) // a fresh record starts its popularity over
-	if e.memBytes >= e.cfg.MemtableBytes {
-		if err := e.flushLocked(); err != nil {
-			return false, fmt.Errorf("logengine: flush: %w", err)
-		}
+	e.settlePut(tag, mr)
+	if err := e.maybeFlush(); err != nil {
+		return false, err
 	}
 	return true, nil
 }
 
-// Contains implements engine.Engine: an existence probe over memtable,
-// hot cache and segment indexes with no hit counting, cache promotion
-// or recency updates. Like existsLocked it ignores TTL — the engine's
-// index has no cheap TTL view — so a stale record reports present;
-// callers treat the answer as a hint and tolerate a later Get missing.
-func (e *Engine) Contains(tag mle.Tag) (bool, error) {
+// InsertBatch implements engine.Engine. Fresh items are appended to the
+// WAL in order and committed in runs: one fsync (per policy) and one
+// ECALL apply a run to the memtable. A run ends where Insert would
+// flush, so the batch flushes exactly where n Insert calls would and
+// its crossings never exceed theirs.
+func (e *Engine) InsertBatch(tags []mle.Tag, recs []storeengine.Record) ([]bool, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
-		return false, storeengine.ErrClosed
+		return nil, storeengine.ErrClosed
 	}
-	return e.existsLocked(tag)
+	installed := make([]bool, len(tags))
+	var (
+		run      []int // positions appended to the WAL, not yet applied
+		mrs      []*memRec
+		runBytes int64
+		logged   = make(map[mle.Tag]bool, len(tags))
+	)
+	applyRun := func() error {
+		if len(run) == 0 {
+			return nil
+		}
+		defer func() { run, mrs, runBytes = run[:0], mrs[:0], 0 }()
+		if err := e.syncCommit(); err != nil {
+			return err
+		}
+		applied := 0
+		aerr := e.cfg.Enclave.ECall(func() error {
+			for j, i := range run {
+				if err := e.applyPut(tags[i], mrs[j]); err != nil {
+					return err
+				}
+				applied++
+			}
+			return nil
+		})
+		for j, i := range run[:applied] {
+			e.settlePut(tags[i], mrs[j])
+			installed[i] = true
+		}
+		if aerr != nil {
+			for _, i := range run[applied:] {
+				e.unlogPut(tags[i])
+			}
+			return aerr
+		}
+		return e.maybeFlush()
+	}
+	for i, tag := range tags {
+		if logged[tag] {
+			continue // the batch's first copy wins
+		}
+		exists, err := e.existsLocked(tag)
+		if err == nil && !exists {
+			var mr *memRec
+			if mr, err = e.appendPut(tag, recs[i]); err == nil {
+				logged[tag] = true
+				run, mrs = append(run, i), append(mrs, mr)
+				runBytes += mr.bytes()
+			}
+		}
+		if err != nil {
+			// Items before this one still complete, as they would have
+			// under n Insert calls.
+			if cerr := applyRun(); cerr != nil {
+				return nil, cerr
+			}
+			return nil, err
+		}
+		// runBytes overestimates the memtable growth (a replaced
+		// tombstone frees bytes), so every point where Insert would
+		// flush ends a run here.
+		if e.memBytes+runBytes >= e.cfg.MemtableBytes {
+			if err := applyRun(); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if err := applyRun(); err != nil {
+		return nil, err
+	}
+	return installed, nil
+}
+
+// appendPut logs a fresh record to the WAL; the caller syncs per policy
+// and then applies it. Caller holds mu.
+func (e *Engine) appendPut(tag mle.Tag, rec storeengine.Record) (*memRec, error) {
+	stored := copyRecord(rec)
+	if err := e.wal.append(e.cfg.Enclave, walOpPut, tag, stored); err != nil {
+		return nil, err
+	}
+	e.st.WALRecords++
+	return &memRec{rec: stored}, nil
+}
+
+// syncCommit fsyncs the WAL under FsyncCommit, before mutations are
+// acknowledged.
+func (e *Engine) syncCommit() error {
+	if e.cfg.Fsync == FsyncCommit {
+		if err := e.wal.sync(); err != nil {
+			return fmt.Errorf("logengine: wal fsync: %w", err)
+		}
+	}
+	return nil
+}
+
+// applyPut installs a logged record in the memtable, charging its
+// enclave memory. Caller holds mu inside an ECALL.
+func (e *Engine) applyPut(tag mle.Tag, mr *memRec) error {
+	if prev, had := e.memtable[tag]; had {
+		// Overwriting a tombstone left by an earlier Remove.
+		e.memBytes -= prev.bytes()
+		e.cfg.Enclave.Free(prev.bytes())
+	}
+	if err := e.cfg.Enclave.Alloc(mr.bytes()); err != nil {
+		return fmt.Errorf("metadata allocation: %w", err)
+	}
+	e.memtable[tag] = mr
+	e.memBytes += mr.bytes()
+	return nil
+}
+
+// unlogPut compensates a logged put that could not be applied: the WAL
+// already carries the record and a replay would resurrect it, so a
+// delete follows it and the log and the memory state agree. Caller
+// holds mu.
+func (e *Engine) unlogPut(tag mle.Tag) {
+	if derr := e.wal.append(e.cfg.Enclave, walOpDelete, tag, storeengine.Record{}); derr == nil && e.cfg.Fsync == FsyncCommit {
+		_ = e.wal.sync()
+	}
+}
+
+// settlePut accounts an applied put. Caller holds mu.
+func (e *Engine) settlePut(tag mle.Tag, mr *memRec) {
+	e.entries++
+	e.valueBytes += mr.rec.BlobSize
+	e.dropTouch(tag) // a fresh record starts its popularity over
+}
+
+// maybeFlush flushes the memtable once it reaches its budget. Caller
+// holds mu.
+func (e *Engine) maybeFlush() error {
+	if e.memBytes >= e.cfg.MemtableBytes {
+		if err := e.flushLocked(); err != nil {
+			return fmt.Errorf("logengine: flush: %w", err)
+		}
+	}
+	return nil
+}
+
+// ContainsBatch implements engine.Engine: existence probes over
+// memtable, hot cache and segment indexes with no hit counting, cache
+// promotion or recency updates, under one lock hold. Like existsLocked
+// it ignores TTL — the engine's index has no cheap TTL view — so a
+// stale record reports present; callers treat the answer as a hint and
+// tolerate a later Get missing. The probes read the memtable without an
+// ECALL, so a batch costs no crossings.
+func (e *Engine) ContainsBatch(tags []mle.Tag) ([]bool, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.closed {
+		return nil, storeengine.ErrClosed
+	}
+	present := make([]bool, len(tags))
+	for i, tag := range tags {
+		p, err := e.existsLocked(tag)
+		if err != nil {
+			return nil, err
+		}
+		present[i] = p
+	}
+	return present, nil
 }
 
 // existsLocked reports whether a live record for tag exists anywhere

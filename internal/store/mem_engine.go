@@ -19,10 +19,13 @@ import (
 
 // memEngine is the default storage engine: the original lock-striped
 // sharded dictionary with a global LRU, entirely in (enclave) memory
-// and volatile across restarts. Its behavior is the pre-seam Store's,
-// byte for byte: the same ECall pattern (one per GET, two per PUT),
+// and volatile across restarts. Its behavior is the pre-seam Store's:
 // the same enclave Alloc/Free charging per entry, the same oblivious
 // all-shard scan, and the same globally-least-recent eviction victim.
+// Store ECALLs are counted per request, not per tag: one per GET,
+// GET_BATCH or HAS_BATCH, and two per PUT or PUT_BATCH (a duplicate
+// check, then the insert, with blob storage and enclave charging in
+// between, outside the enclave).
 type memEngine struct {
 	enclave   *enclave.Enclave
 	blobs     BlobStore
@@ -121,111 +124,132 @@ func (m *memEngine) expiredLocked(e *entry) bool {
 // untrusted storage outside.
 func (m *memEngine) Get(tag mle.Tag) (storeengine.Record, storeengine.GetStatus, error) {
 	var (
-		rec     storeengine.Record
-		found   bool
-		expired bool
-		blobID  BlobID
+		rec    storeengine.Record
+		blobID BlobID
+		status storeengine.GetStatus
 	)
 	err := m.enclave.ECall(func() error {
 		if m.closed.Load() {
 			return ErrClosed
 		}
-		if m.oblivious {
-			// Scan every shard with identical per-entry work so the
-			// access pattern reveals neither the entry nor the shard.
-			home := m.shardFor(tag)
-			for _, sh := range m.shards {
-				sh.mu.Lock()
-				e := obliviousLookupLocked(sh, tag)
-				if sh == home && e != nil {
-					if m.expiredLocked(e) {
-						expired = true
-					} else {
-						found = true
-						e.hits++
-						rec = m.recordLocked(e)
-						blobID = e.blobID
-					}
-				}
-				sh.mu.Unlock()
-			}
-			return nil
-		}
-		sh := m.shardFor(tag)
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		e, ok := sh.dict[tag]
-		if !ok {
-			return nil
-		}
-		if m.expiredLocked(e) {
-			// Leave the stale entry for the caller to collect lazily.
-			expired = true
-			return nil
-		}
-		found = true
-		e.hits++
-		// LRU maintenance and freshness updates reveal which entry was
-		// touched; they only run in the non-oblivious path.
-		sh.lru.MoveToFront(e.lruElem)
-		e.lastTouch = m.now()
-		rec = m.recordLocked(e)
-		blobID = e.blobID
+		rec, blobID, status = m.lookup(tag)
 		return nil
 	})
 	if err != nil {
 		return storeengine.Record{}, storeengine.StatusMiss, err
 	}
-	if expired {
-		return storeengine.Record{}, storeengine.StatusExpired, nil
-	}
-	if !found {
-		return storeengine.Record{}, storeengine.StatusMiss, nil
-	}
-	blob, err := m.blobs.Get(blobID)
-	if err != nil {
-		// The untrusted storage lost or corrupted the blob; the caller
-		// drops the dangling entry and treats the lookup as a miss (the
-		// application would reject the result at verification anyway).
-		return storeengine.Record{}, storeengine.StatusDangling, nil
-	}
-	rec.Blob = blob
-	return rec, storeengine.StatusHit, nil
+	rec, status = m.fetchBlob(rec, blobID, status)
+	return rec, status, nil
 }
 
-// Contains implements engine.Engine: a pure existence probe with no
-// hit count, LRU or freshness side effects. It answers inside the
-// enclave like Get's dictionary access; when the engine is oblivious
-// it reuses the all-shard constant-work scan so probes are as
-// access-pattern-uniform as lookups.
-func (m *memEngine) Contains(tag mle.Tag) (bool, error) {
-	var present bool
+// GetBatch implements engine.Engine: every dictionary lookup of the
+// batch runs inside one ECALL, then the ciphertexts are fetched
+// outside.
+func (m *memEngine) GetBatch(tags []mle.Tag) ([]storeengine.Record, []storeengine.GetStatus, error) {
+	recs := make([]storeengine.Record, len(tags))
+	statuses := make([]storeengine.GetStatus, len(tags))
+	blobIDs := make([]BlobID, len(tags))
 	err := m.enclave.ECall(func() error {
 		if m.closed.Load() {
 			return ErrClosed
 		}
-		if m.oblivious {
-			home := m.shardFor(tag)
-			for _, sh := range m.shards {
-				sh.mu.Lock()
-				e := obliviousLookupLocked(sh, tag)
-				if sh == home && e != nil && !m.expiredLocked(e) {
-					present = true
-				}
-				sh.mu.Unlock()
-			}
-			return nil
-		}
-		sh := m.shardFor(tag)
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		if e, ok := sh.dict[tag]; ok && !m.expiredLocked(e) {
-			present = true
+		for i, tag := range tags {
+			recs[i], blobIDs[i], statuses[i] = m.lookup(tag)
 		}
 		return nil
 	})
 	if err != nil {
-		return false, err
+		return nil, nil, err
+	}
+	for i := range recs {
+		recs[i], statuses[i] = m.fetchBlob(recs[i], blobIDs[i], statuses[i])
+	}
+	return recs, statuses, nil
+}
+
+// visit runs fn on the tag's entry (nil when absent) with its home
+// shard locked. Oblivious engines scan every shard with identical
+// per-entry work, so the access pattern reveals neither the entry nor
+// the shard. Caller is inside the store enclave.
+func (m *memEngine) visit(tag mle.Tag, fn func(sh *shard, e *entry)) {
+	home := m.shardFor(tag)
+	if !m.oblivious {
+		home.mu.Lock()
+		fn(home, home.dict[tag])
+		home.mu.Unlock()
+		return
+	}
+	for _, sh := range m.shards {
+		sh.mu.Lock()
+		e := obliviousLookupLocked(sh, tag)
+		if sh == home {
+			fn(sh, e)
+		}
+		sh.mu.Unlock()
+	}
+}
+
+// lookup is one tag's dictionary access inside the store enclave: a
+// hit counts, refreshes recency (non-oblivious only) and copies the
+// metadata out; an expired entry is left for the caller to collect
+// lazily.
+func (m *memEngine) lookup(tag mle.Tag) (rec storeengine.Record, blobID BlobID, status storeengine.GetStatus) {
+	m.visit(tag, func(sh *shard, e *entry) {
+		switch {
+		case e == nil:
+		case m.expiredLocked(e):
+			status = storeengine.StatusExpired
+		default:
+			e.hits++
+			if !m.oblivious {
+				// LRU maintenance and freshness updates reveal which
+				// entry was touched; they only run in the non-oblivious
+				// path.
+				sh.lru.MoveToFront(e.lruElem)
+				e.lastTouch = m.now()
+			}
+			rec, blobID, status = m.recordLocked(e), e.blobID, storeengine.StatusHit
+		}
+	})
+	return rec, blobID, status
+}
+
+// fetchBlob completes a hit with its ciphertext from untrusted storage,
+// outside the enclave. A lost or corrupted blob turns the hit into
+// StatusDangling: the caller drops the entry and treats the lookup as
+// a miss (the application would reject the result at verification
+// anyway). Non-hits come back as zero records.
+func (m *memEngine) fetchBlob(rec storeengine.Record, blobID BlobID, status storeengine.GetStatus) (storeengine.Record, storeengine.GetStatus) {
+	if status != storeengine.StatusHit {
+		return storeengine.Record{}, status
+	}
+	blob, err := m.blobs.Get(blobID)
+	if err != nil {
+		return storeengine.Record{}, storeengine.StatusDangling
+	}
+	rec.Blob = blob
+	return rec, storeengine.StatusHit
+}
+
+// ContainsBatch implements engine.Engine: pure existence probes with no
+// hit count, LRU or freshness side effects, answered inside one ECALL.
+// Oblivious engines reuse the all-shard constant-work scan, so probes
+// are as access-pattern-uniform as lookups.
+func (m *memEngine) ContainsBatch(tags []mle.Tag) ([]bool, error) {
+	present := make([]bool, len(tags))
+	err := m.enclave.ECall(func() error {
+		if m.closed.Load() {
+			return ErrClosed
+		}
+		for i, tag := range tags {
+			m.visit(tag, func(_ *shard, e *entry) {
+				present[i] = e != nil && !m.expiredLocked(e)
+			})
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return present, nil
 }
@@ -249,31 +273,106 @@ func (m *memEngine) recordLocked(e *entry) storeengine.Record {
 // insert under the lock again, cleaning up if a concurrent identical
 // PUT won the race.
 func (m *memEngine) Insert(tag mle.Tag, rec storeengine.Record) (bool, error) {
-	sh := m.shardFor(tag)
 	dupe := false
 	err := m.enclave.ECall(func() error {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
 		if m.closed.Load() {
 			return ErrClosed
 		}
-		if _, ok := sh.dict[tag]; ok {
-			dupe = true
+		dupe = m.hasEntry(tag)
+		return nil
+	})
+	if err != nil || dupe {
+		return false, err
+	}
+	e, err := m.prepare(rec)
+	if err != nil {
+		return false, err
+	}
+	installed := false
+	err = m.enclave.ECall(func() error {
+		if m.closed.Load() {
+			return ErrClosed
+		}
+		installed = m.install(tag, e)
+		return nil
+	})
+	if err != nil || !installed {
+		m.discard(e)
+		return false, err
+	}
+	return true, nil
+}
+
+// InsertBatch implements engine.Engine with Insert's sequence for the
+// whole batch: one ECALL duplicate-checks every tag, the fresh items'
+// blobs are stored and their entries charged outside, and one more
+// ECALL installs them in order. A tag repeated in the batch loses the
+// install race to its first copy and is cleaned up like a concurrent
+// identical PUT.
+func (m *memEngine) InsertBatch(tags []mle.Tag, recs []storeengine.Record) ([]bool, error) {
+	installed := make([]bool, len(tags))
+	err := m.enclave.ECall(func() error {
+		if m.closed.Load() {
+			return ErrClosed
+		}
+		for i, tag := range tags {
+			installed[i] = !m.hasEntry(tag)
 		}
 		return nil
 	})
 	if err != nil {
-		return false, err
+		return nil, err
 	}
-	if dupe {
-		return false, nil
+	entries := make([]*entry, len(tags))
+	for i := range tags {
+		if !installed[i] {
+			continue
+		}
+		if entries[i], err = m.prepare(recs[i]); err != nil {
+			break
+		}
 	}
+	if err == nil {
+		err = m.enclave.ECall(func() error {
+			if m.closed.Load() {
+				return ErrClosed
+			}
+			for i, e := range entries {
+				if e != nil {
+					installed[i] = m.install(tags[i], e)
+				}
+			}
+			return nil
+		})
+	}
+	for i, e := range entries {
+		if e != nil && (err != nil || !installed[i]) {
+			m.discard(e)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	return installed, nil
+}
 
+// hasEntry is the PUT duplicate check inside the store enclave: any
+// entry, live or stale, keeps the first stored version.
+func (m *memEngine) hasEntry(tag mle.Tag) bool {
+	sh := m.shardFor(tag)
+	sh.mu.Lock()
+	_, ok := sh.dict[tag]
+	sh.mu.Unlock()
+	return ok
+}
+
+// prepare stores a fresh record's blob in untrusted storage and charges
+// its dictionary entry against the enclave, outside the enclave.
+func (m *memEngine) prepare(rec storeengine.Record) (*entry, error) {
 	blobID, err := m.blobs.Put(rec.Blob)
 	if err != nil {
-		return false, fmt.Errorf("store blob: %w", err)
+		return nil, fmt.Errorf("store blob: %w", err)
 	}
-
 	e := &entry{
 		challenge:  append([]byte(nil), rec.Challenge...),
 		wrappedKey: append([]byte(nil), rec.WrappedKey...),
@@ -285,32 +384,33 @@ func (m *memEngine) Insert(tag mle.Tag, rec storeengine.Record) (bool, error) {
 	}
 	if err := m.enclave.Alloc(e.enclaveBytes()); err != nil {
 		_ = m.blobs.Delete(blobID)
-		return false, fmt.Errorf("metadata allocation: %w", err)
+		return nil, fmt.Errorf("metadata allocation: %w", err)
 	}
+	return e, nil
+}
 
-	err = m.enclave.ECall(func() error {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		if m.closed.Load() {
-			return ErrClosed
-		}
-		if _, ok := sh.dict[tag]; ok {
-			// Lost a race with a concurrent identical PUT.
-			dupe = true
-			return nil
-		}
-		e.lruElem = sh.lru.PushFront(tag)
-		sh.dict[tag] = e
-		m.entries.Add(1)
-		m.blobTotal.Add(e.blobSize)
-		return nil
-	})
-	if err != nil || dupe {
-		_ = m.blobs.Delete(blobID)
-		m.enclave.Free(e.enclaveBytes())
-		return false, err
+// install links a prepared entry into the dictionary inside the store
+// enclave. It reports false when the tag gained an entry since the
+// duplicate check (a concurrent identical PUT won the race); the caller
+// then discards e.
+func (m *memEngine) install(tag mle.Tag, e *entry) bool {
+	sh := m.shardFor(tag)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if _, ok := sh.dict[tag]; ok {
+		return false
 	}
-	return true, nil
+	e.lruElem = sh.lru.PushFront(tag)
+	sh.dict[tag] = e
+	m.entries.Add(1)
+	m.blobTotal.Add(e.blobSize)
+	return true
+}
+
+// discard releases a prepared entry that was not installed.
+func (m *memEngine) discard(e *entry) {
+	_ = m.blobs.Delete(e.blobID)
+	m.enclave.Free(e.enclaveBytes())
 }
 
 // Remove implements engine.Engine: it deletes the entry, releasing its

@@ -89,6 +89,17 @@ func (q *quotas) allowPut(id enclave.Measurement, n int64, skipRate bool) (bool,
 	return true, ""
 }
 
+// fits reports whether n more bytes stay within the application's
+// space quota, consuming nothing.
+func (q *quotas) fits(id enclave.Measurement, n int64) bool {
+	if q.cfg.MaxBytesPerApp <= 0 {
+		return true
+	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.app(id).bytes+n <= q.cfg.MaxBytesPerApp
+}
+
 // creditBytes returns n bytes to the application's space quota, used
 // when an entry is evicted or a PUT loses a race with a concurrent
 // duplicate.

@@ -624,55 +624,29 @@ func (s *Server) Dispatch(owner enclave.Measurement, msg wire.Message) (wire.Mes
 		if s.tel != nil {
 			s.tel.batchSize.Observe(time.Duration(len(m.Tags)))
 		}
-		resp := wire.BatchGetResponse{Results: make([]wire.GetResult, len(m.Tags))}
-		for i, tag := range m.Tags {
-			sealed, found, err := s.store.GetAs(owner, tag)
-			switch {
-			case errors.Is(err, ErrUnauthorized):
-				// Deny without information, as in the single-GET case.
-			case err != nil:
-				return nil, fmt.Errorf("batch get %v: %w", tag, err)
-			default:
-				resp.Results[i] = wire.GetResult{Found: found, Sealed: sealed}
-			}
+		results, err := s.store.GetBatchAs(owner, m.Tags)
+		if err != nil {
+			return nil, fmt.Errorf("batch get: %w", err)
 		}
-		return resp, nil
+		return wire.BatchGetResponse{Results: results}, nil
 	case wire.BatchPutRequest:
 		if s.tel != nil {
 			s.tel.batchSize.Observe(time.Duration(len(m.Items)))
 		}
-		resp := wire.BatchPutResponse{Results: make([]wire.PutResult, len(m.Items))}
-		for i, it := range m.Items {
-			put := s.store.Put
-			if it.Replace {
-				put = s.store.PutReplace
-			}
-			_, err := put(owner, it.Tag, it.Sealed)
-			switch {
-			case errors.Is(err, ErrQuota), errors.Is(err, ErrUnauthorized):
-				resp.Results[i] = wire.PutResult{OK: false, Err: err.Error()}
-			case err != nil:
-				return nil, fmt.Errorf("batch put %v: %w", it.Tag, err)
-			default:
-				resp.Results[i] = wire.PutResult{OK: true}
-			}
+		results, err := s.store.PutBatchAs(owner, m.Items)
+		if err != nil {
+			return nil, fmt.Errorf("batch put: %w", err)
 		}
-		return resp, nil
+		return wire.BatchPutResponse{Results: results}, nil
 	case wire.HasBatchRequest:
 		if s.tel != nil {
 			s.tel.batchSize.Observe(time.Duration(len(m.Tags)))
 		}
-		resp := wire.HasBatchResponse{Present: make([]bool, len(m.Tags))}
-		for i, tag := range m.Tags {
-			// HasAs maps unauthorized to (false, nil) itself, so the
-			// deny-without-information property holds per tag.
-			present, err := s.store.HasAs(owner, tag)
-			if err != nil {
-				return nil, fmt.Errorf("has batch %v: %w", tag, err)
-			}
-			resp.Present[i] = present
+		present, err := s.store.HasBatchAs(owner, m.Tags)
+		if err != nil {
+			return nil, fmt.Errorf("has batch: %w", err)
 		}
-		return resp, nil
+		return wire.HasBatchResponse{Present: present}, nil
 	case wire.SyncPullRequest:
 		max := int(m.Max)
 		if max <= 0 || max > wire.MaxBatchItems {

@@ -14,6 +14,7 @@ import (
 	storeengine "speed/internal/store/engine"
 	"speed/internal/store/logengine"
 	"speed/internal/telemetry"
+	"speed/internal/wire"
 )
 
 // entryOverhead approximates the in-enclave footprint of one dictionary
@@ -294,35 +295,112 @@ func (s *Store) Enclave() *enclave.Enclave { return s.cfg.Enclave }
 // GetAs is Get with the caller's attested identity, consulted by the
 // store's Authorizer when one is configured.
 func (s *Store) GetAs(app enclave.Measurement, tag mle.Tag) (mle.Sealed, bool, error) {
-	if s.cfg.Auth != nil {
-		if err := s.cfg.Auth.Authorize(app, tag, PermGet); err != nil {
-			s.statsMu.Lock()
-			s.ops.Unauthorized++
-			s.statsMu.Unlock()
-			return mle.Sealed{}, false, err
-		}
+	if err := s.authorize(app, tag, PermGet); err != nil {
+		return mle.Sealed{}, false, err
 	}
 	return s.Get(tag)
 }
 
-// HasAs reports whether the tag is present, without fetching the
-// sealed value, counting a hit, or refreshing recency — the existence
-// probe behind HAS_BATCH (chunked dedup's missing-chunk transfer).
-// Authorization uses PermGet: a caller that may not read the entry
-// learns nothing (the probe reports absent rather than erroring, so
-// HAS_BATCH answers are deny-without-information). The answer is a
-// hint, not a promise; a probed-present entry can still expire or be
-// evicted before a later Get.
-func (s *Store) HasAs(app enclave.Measurement, tag mle.Tag) (bool, error) {
-	if s.cfg.Auth != nil {
-		if err := s.cfg.Auth.Authorize(app, tag, PermGet); err != nil {
-			s.statsMu.Lock()
-			s.ops.Unauthorized++
-			s.statsMu.Unlock()
-			return false, nil
+// GetBatchAs answers a GET_BATCH on behalf of app: one wire.GetResult
+// per tag, positionally, as GetAs on each tag in order would, except
+// that tags app may not read answer not-found rather than failing
+// (deny without information). Every authorized tag goes to the engine
+// in one call, so the memory engine spends one store ECALL on the whole
+// batch; expiry and dangling-entry cleanup then settle per tag, in
+// order. An error means the engine failed, not any one tag.
+func (s *Store) GetBatchAs(app enclave.Measurement, tags []mle.Tag) ([]wire.GetResult, error) {
+	if s.getSeconds != nil {
+		start := time.Now()
+		defer func() { s.getSeconds.Observe(time.Since(start)) }()
+	}
+	results := make([]wire.GetResult, len(tags))
+	allowed, pos := s.authorizeBatch(app, tags, PermGet)
+	if len(allowed) == 0 {
+		return results, nil
+	}
+	recs, statuses, err := s.eng.GetBatch(allowed)
+	if err != nil {
+		return nil, err
+	}
+	var removed map[mle.Tag]bool // tags this batch already collected
+	for j, tag := range allowed {
+		i := j
+		if pos != nil {
+			i = pos[j]
+		}
+		status := statuses[j]
+		if removed[tag] {
+			// An earlier copy of the tag was expired or dangling and is
+			// gone, so this copy misses, as a later GET would.
+			status = storeengine.StatusMiss
+		} else if status == storeengine.StatusExpired || status == storeengine.StatusDangling {
+			if removed == nil {
+				removed = make(map[mle.Tag]bool)
+			}
+			removed[tag] = true
+		}
+		sealed, found := s.settleGet(tag, recs[j], status)
+		results[i] = wire.GetResult{Found: found, Sealed: sealed}
+	}
+	return results, nil
+}
+
+// HasBatchAs reports, positionally, whether each tag is present,
+// without fetching sealed values, counting hits, or refreshing recency
+// — the existence probe behind HAS_BATCH (chunked dedup's
+// missing-chunk transfer). Authorization uses PermGet: a tag the
+// caller may not read reports absent rather than erroring, so answers
+// are deny-without-information. The answer is a hint, not a promise; a
+// probed-present entry can still expire or be evicted before a later
+// Get. The authorized tags are probed in one engine call.
+func (s *Store) HasBatchAs(app enclave.Measurement, tags []mle.Tag) ([]bool, error) {
+	allowed, pos := s.authorizeBatch(app, tags, PermGet)
+	if len(allowed) == 0 {
+		return make([]bool, len(tags)), nil
+	}
+	got, err := s.eng.ContainsBatch(allowed)
+	if err != nil || pos == nil {
+		return got, err
+	}
+	present := make([]bool, len(tags))
+	for j, p := range got {
+		present[pos[j]] = p
+	}
+	return present, nil
+}
+
+// authorize checks app's permission for tag when an Authorizer is
+// configured, counting a denial.
+func (s *Store) authorize(app enclave.Measurement, tag mle.Tag, perm Permission) error {
+	if s.cfg.Auth == nil {
+		return nil
+	}
+	err := s.cfg.Auth.Authorize(app, tag, perm)
+	if err != nil {
+		s.statsMu.Lock()
+		s.ops.Unauthorized++
+		s.statsMu.Unlock()
+	}
+	return err
+}
+
+// authorizeBatch returns the tags app holds perm for, in order, with
+// their positions in tags; each denied tag is counted. Without an
+// Authorizer every tag is allowed and the positions are nil (the
+// identity).
+func (s *Store) authorizeBatch(app enclave.Measurement, tags []mle.Tag, perm Permission) ([]mle.Tag, []int) {
+	if s.cfg.Auth == nil {
+		return tags, nil
+	}
+	allowed := make([]mle.Tag, 0, len(tags))
+	pos := make([]int, 0, len(tags))
+	for i, tag := range tags {
+		if s.authorize(app, tag, perm) == nil {
+			allowed = append(allowed, tag)
+			pos = append(pos, i)
 		}
 	}
-	return s.eng.Contains(tag)
+	return allowed, pos
 }
 
 // Get looks up the computation tag, returning the (r, [k], [res])
@@ -339,27 +417,35 @@ func (s *Store) Get(tag mle.Tag) (mle.Sealed, bool, error) {
 	if err != nil {
 		return mle.Sealed{}, false, err
 	}
+	sealed, found := s.settleGet(tag, rec, status)
+	return sealed, found, nil
+}
+
+// settleGet applies the store's policy to one engine lookup: an
+// expired entry is collected, a dangling one dropped, and the lookup
+// counted.
+func (s *Store) settleGet(tag mle.Tag, rec storeengine.Record, status storeengine.GetStatus) (mle.Sealed, bool) {
 	switch status {
 	case storeengine.StatusExpired:
 		s.remove(tag, reasonExpire)
 		s.countGet(false)
-		return mle.Sealed{}, false, nil
+		return mle.Sealed{}, false
 	case storeengine.StatusDangling:
 		// The entry was found (a hit, for accounting) but its value is
 		// gone; drop it and report a miss so the application recomputes.
 		s.countGet(true)
 		s.remove(tag, reasonDangling)
-		return mle.Sealed{}, false, nil
+		return mle.Sealed{}, false
 	case storeengine.StatusHit:
 		s.countGet(true)
 		return mle.Sealed{
 			Challenge:  rec.Challenge,
 			WrappedKey: rec.WrappedKey,
 			Blob:       rec.Blob,
-		}, true, nil
+		}, true
 	default:
 		s.countGet(false)
-		return mle.Sealed{}, false, nil
+		return mle.Sealed{}, false
 	}
 }
 
@@ -412,23 +498,14 @@ func (s *Store) put(owner enclave.Measurement, tag mle.Tag, sealed mle.Sealed, o
 		start := time.Now()
 		defer func() { s.putSeconds.Observe(time.Since(start)) }()
 	}
-	restore := opts.restore
-	if s.cfg.Auth != nil && !restore {
-		if aerr := s.cfg.Auth.Authorize(owner, tag, PermPut); aerr != nil {
-			s.statsMu.Lock()
-			s.ops.Unauthorized++
-			s.statsMu.Unlock()
-			return false, aerr
+	if !opts.restore {
+		if err := s.authorize(owner, tag, PermPut); err != nil {
+			return false, err
 		}
 	}
-	blobLen := int64(len(sealed.Blob))
-	if ok, reason := s.quota.allowPut(owner, blobLen, restore); !ok {
-		s.statsMu.Lock()
-		s.ops.PutDenied++
-		s.statsMu.Unlock()
-		return false, fmt.Errorf("%w: %s", ErrQuota, reason)
+	if err := s.chargeQuota(owner, int64(len(sealed.Blob)), opts.restore); err != nil {
+		return false, err
 	}
-
 	if opts.replace {
 		// Drop any existing version before inserting. Not atomic with
 		// the insert below: a concurrent Put can win the race, in
@@ -436,33 +513,151 @@ func (s *Store) put(owner enclave.Measurement, tag mle.Tag, sealed mle.Sealed, o
 		// any fresh version supersedes the bad one.
 		s.remove(tag, reasonReplace)
 	}
+	rec := s.newRecord(owner, sealed, opts.hits)
+	installed, err = s.eng.Insert(tag, rec)
+	if err != nil {
+		s.quota.creditBytes(owner, rec.BlobSize)
+		return false, err
+	}
+	s.settlePut(owner, rec.BlobSize, installed)
+	if installed {
+		s.enforceLimits()
+	}
+	return installed, nil
+}
 
-	rec := storeengine.Record{
+// PutBatchAs answers a PUT_BATCH on behalf of owner: one wire.PutResult
+// per item, positionally, with the effect of Put (or PutReplace, for
+// Replace items) on each item in order. Authorization and quota
+// denials answer OK=false with the reason; a duplicate is OK. An error
+// means the engine failed, and the batch may then be partly applied.
+//
+// Admitted items reach the engine in runs, one InsertBatch each — for
+// the memory engine two store ECALLs per run, however long. The engine
+// keeps the first copy of a tag repeated within a run, as sequential
+// PUTs would. A run ends before an item whose outcome could depend on
+// the run's own: a Replace item (its removal must follow the run's
+// inserts), or a byte-quota check that the run's pending duplicate
+// refunds could change; and right after an item that could take the
+// store past MaxEntries or MaxBlobBytes, so eviction runs where n
+// single PUTs would run it. A batch therefore never costs more
+// crossings than n single PUTs, and without caps, quota pressure or
+// Replace items it is one run.
+func (s *Store) PutBatchAs(owner enclave.Measurement, items []wire.PutItem) ([]wire.PutResult, error) {
+	if s.putSeconds != nil {
+		start := time.Now()
+		defer func() { s.putSeconds.Observe(time.Since(start)) }()
+	}
+	results := make([]wire.PutResult, len(items))
+	var (
+		pos      = make([]int, 0, len(items)) // run positions in items
+		tags     = make([]mle.Tag, 0, len(items))
+		recs     = make([]storeengine.Record, 0, len(items))
+		runBytes int64
+	)
+	flush := func() error {
+		if len(tags) == 0 {
+			return nil
+		}
+		defer func() { pos, tags, recs, runBytes = pos[:0], tags[:0], recs[:0], 0 }()
+		installed, err := s.eng.InsertBatch(tags, recs)
+		if err != nil {
+			for _, rec := range recs {
+				s.quota.creditBytes(owner, rec.BlobSize)
+			}
+			return err
+		}
+		grew := false
+		for j, i := range pos {
+			s.settlePut(owner, recs[j].BlobSize, installed[j])
+			results[i] = wire.PutResult{OK: true}
+			grew = grew || installed[j]
+		}
+		if grew {
+			s.enforceLimits()
+		}
+		return nil
+	}
+	for i, it := range items {
+		blobLen := int64(len(it.Sealed.Blob))
+		if err := s.authorize(owner, it.Tag, PermPut); err != nil {
+			results[i] = wire.PutResult{Err: err.Error()}
+			continue
+		}
+		if it.Replace || !s.quota.fits(owner, blobLen) {
+			if err := flush(); err != nil {
+				return nil, err
+			}
+		}
+		if err := s.chargeQuota(owner, blobLen, false); err != nil {
+			results[i] = wire.PutResult{Err: err.Error()}
+			continue
+		}
+		if it.Replace {
+			s.remove(it.Tag, reasonReplace)
+		}
+		pos = append(pos, i)
+		tags = append(tags, it.Tag)
+		recs = append(recs, s.newRecord(owner, it.Sealed, 0))
+		runBytes += blobLen
+		if s.mayExceedCaps(len(tags), runBytes) {
+			if err := flush(); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if err := flush(); err != nil {
+		return nil, err
+	}
+	return results, nil
+}
+
+// chargeQuota admits an upload of n bytes against owner's quota,
+// counting a denial. restore skips the rate limit.
+func (s *Store) chargeQuota(owner enclave.Measurement, n int64, restore bool) error {
+	if ok, reason := s.quota.allowPut(owner, n, restore); !ok {
+		s.statsMu.Lock()
+		s.ops.PutDenied++
+		s.statsMu.Unlock()
+		return fmt.Errorf("%w: %s", ErrQuota, reason)
+	}
+	return nil
+}
+
+// newRecord builds the engine record for an admitted upload.
+func (s *Store) newRecord(owner enclave.Measurement, sealed mle.Sealed, hits int64) storeengine.Record {
+	return storeengine.Record{
 		Challenge:  append([]byte(nil), sealed.Challenge...),
 		WrappedKey: append([]byte(nil), sealed.WrappedKey...),
 		Blob:       sealed.Blob,
-		BlobSize:   blobLen,
+		BlobSize:   int64(len(sealed.Blob)),
 		Owner:      owner,
-		Hits:       opts.hits,
+		Hits:       hits,
 		LastTouch:  s.cfg.Now(),
 	}
-	installed, err = s.eng.Insert(tag, rec)
-	if err != nil {
-		s.quota.creditBytes(owner, blobLen)
-		return false, err
-	}
-	if !installed {
-		s.statsMu.Lock()
-		s.ops.PutDupes++
-		s.statsMu.Unlock()
-		s.quota.creditBytes(owner, blobLen)
-		return false, nil
-	}
+}
+
+// settlePut counts one engine insert outcome; a duplicate gives its
+// quota bytes back.
+func (s *Store) settlePut(owner enclave.Measurement, blobLen int64, installed bool) {
 	s.statsMu.Lock()
-	s.ops.Puts++
+	if installed {
+		s.ops.Puts++
+	} else {
+		s.ops.PutDupes++
+	}
 	s.statsMu.Unlock()
-	s.enforceLimits()
-	return true, nil
+	if !installed {
+		s.quota.creditBytes(owner, blobLen)
+	}
+}
+
+// mayExceedCaps reports whether installing a pending run of n records
+// holding blobBytes could take the store past MaxEntries or
+// MaxBlobBytes.
+func (s *Store) mayExceedCaps(n int, blobBytes int64) bool {
+	return (s.cfg.MaxEntries > 0 && s.eng.Len()+n > s.cfg.MaxEntries) ||
+		(s.cfg.MaxBlobBytes > 0 && s.eng.ValueBytes()+blobBytes > s.cfg.MaxBlobBytes)
 }
 
 // enforceLimits evicts least-recently-used entries until the global
